@@ -5,7 +5,8 @@
 // fire-latency objective, plus a recorder-on vs recorder-off A/B pair
 // measuring the always-on flight recorder's gating overhead and an
 // incremental-until vs batch-until A/B pair measuring the amortized A3
-// decision walk.
+// decision walk, and a relevance row family measuring what watches that do
+// not read an event's process cost per event.
 //
 // Fire latency is measured from raw nanosecond samples (ServiceOptions::
 // fire_sample), not the serve histograms: the log2-bucketed histogram
@@ -37,6 +38,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,10 @@
 #include "predicate/relational.h"
 #include "serve/service.h"
 #include "util/assert.h"
+
+#ifndef HBCT_BUILD_TYPE
+#define HBCT_BUILD_TYPE "unknown"
+#endif
 
 namespace hbct {
 namespace {
@@ -400,6 +406,99 @@ std::pair<WatchRow, WatchRow> measure_ab(
   return {std::move(a), std::move(b)};
 }
 
+// ---- Relevance rows ------------------------------------------------------------
+//
+// One OnlineMonitor over 32 processes, driven directly (no service), with
+// `watches` never-firing watches, conjunctive and disjunctive alternating.
+// `relevant_pct` percent of them have a conjunct or disjunct on P0 that is
+// never true, so every event on P0 wakes them; the rest read two of
+// P2..P31 and no event ever reaches them. Every event is an internal event
+// on P0. With event-driven scheduling the per-event cost should follow the
+// relevant watches alone: the 0% rows should read flat in `watches`.
+
+constexpr std::int32_t kRelevanceProcs = 32;
+constexpr std::int64_t kRelevanceEvents = 4'096;
+
+struct RelevanceRow {
+  benchio::BenchRow base;
+  std::int64_t watches = 0;
+  std::int64_t relevant = 0;
+  std::int64_t relevant_pct = 0;
+  double evals_per_event = 0;
+};
+
+/// Arms the row's watches on a fresh monitor.
+void arm_relevance(OnlineMonitor& m, std::int64_t watches,
+                   std::int64_t relevant) {
+  for (std::int64_t k = 0; k < watches; ++k) {
+    // Irrelevant watches spread over P2..P31, two distinct processes each.
+    const auto a = static_cast<ProcId>(2 + k % 30);
+    const auto b = static_cast<ProcId>(2 + (k + 1 + k / 30) % 30);
+    const ProcId first = k < relevant ? 0 : a;
+    const ProcId second = b == first ? static_cast<ProcId>(2 + (k + 2) % 30) : b;
+    auto l1 = var_cmp(first, "x", Cmp::kLt, 0);
+    auto l2 = var_cmp(second, "x", Cmp::kLt, 0);
+    if (k % 2 == 0) {
+      m.watch_possibly(make_conjunctive({l1, l2}));
+    } else {
+      m.watch_possibly(make_disjunctive({l1, l2}));
+    }
+  }
+}
+
+/// One pass: arm, stream kRelevanceEvents events on P0, finish. Returns
+/// the streaming wall time (arming excluded) and the evaluations made.
+std::pair<double, std::int64_t> relevance_pass(std::int64_t watches,
+                                               std::int64_t relevant) {
+  OnlineMonitor m(kRelevanceProcs);
+  const VarId x = m.var("x");
+  arm_relevance(m, watches, relevant);
+  const std::int64_t evals0 = m.work().predicate_evals;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::int64_t k = 0; k < kRelevanceEvents; ++k) {
+    m.internal(0);
+    m.try_write(0, x, k);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  HBCT_ASSERT(m.poll().empty());  // nothing ever fires mid-stream
+  return {static_cast<double>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                  .count()),
+          m.work().predicate_evals - evals0};
+}
+
+std::vector<RelevanceRow> measure_relevance() {
+  std::vector<RelevanceRow> rows;
+  for (const std::int64_t watches : {1, 16, 256, 1024}) {
+    for (const std::int64_t pct : {0, 25, 100}) {
+      RelevanceRow row;
+      row.watches = watches;
+      row.relevant_pct = pct;
+      row.relevant = watches * pct / 100;
+      row.base.name = "watch/relevance/w" + std::to_string(watches) + "/r" +
+                      std::to_string(pct);
+      row.base.label = std::to_string(watches) + " watches over " +
+                       std::to_string(kRelevanceProcs) + " processes, " +
+                       std::to_string(row.relevant) +
+                       " reading the event's process";
+      relevance_pass(watches, row.relevant);  // warm-up, discarded
+      std::vector<double> ns;
+      std::int64_t evals = 0;
+      for (int i = 0; i < 7; ++i) {
+        const auto [pass_ns, pass_evals] =
+            relevance_pass(watches, row.relevant);
+        ns.push_back(pass_ns);
+        evals = pass_evals;
+      }
+      row.base.ns = Summary::of(std::move(ns));
+      row.evals_per_event = static_cast<double>(evals) /
+                            static_cast<double>(kRelevanceEvents);
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
 bool emit_watch_json(const char* path) {
   struct Config {
     const char* name;
@@ -464,6 +563,8 @@ bool emit_watch_json(const char* path) {
     rows.push_back(std::move(b));
   }
 
+  const std::vector<RelevanceRow> relevance = measure_relevance();
+
   JsonWriter w;
   w.begin_object();
   w.kv("schema", benchio::kBenchSchema);
@@ -497,6 +598,29 @@ bool emit_watch_json(const char* path) {
     w.kv("met_p99", r.fire_p99_ns <= kP99TargetNs);
     w.kv("recorder", r.plan.recorder);
     w.kv("until_inc", r.plan.until_inc);
+    w.end_object();
+    w.end_object();
+  }
+  for (const RelevanceRow& r : relevance) {
+    w.begin_object();
+    w.kv("name", r.base.name);
+    w.kv("label", r.base.label);
+    w.kv("iters", static_cast<std::uint64_t>(r.base.ns.count));
+    w.key("ns");
+    benchio::write_summary(w, r.base.ns);
+    w.key("report").raw("null");
+    w.key("relevance").begin_object();
+    w.kv("procs", static_cast<std::int64_t>(kRelevanceProcs));
+    w.kv("watches", r.watches);
+    w.kv("relevant", r.relevant);
+    w.kv("relevant_pct", r.relevant_pct);
+    w.kv("events", kRelevanceEvents);
+    w.kv("ns_per_event",
+         r.base.ns.median / static_cast<double>(kRelevanceEvents));
+    w.kv("evals_per_event", r.evals_per_event);
+    w.kv("cores",
+         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    w.kv("build_type", HBCT_BUILD_TYPE);
     w.end_object();
     w.end_object();
   }

@@ -1,5 +1,7 @@
 #include "online/monitor.h"
 
+#include <algorithm>
+
 #include "detect/until.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
@@ -23,7 +25,11 @@ const char* to_string(WatchKind k) {
   return "?";
 }
 
-OnlineMonitor::OnlineMonitor(std::int32_t num_procs) : app_(num_procs) {}
+OnlineMonitor::OnlineMonitor(std::int32_t num_procs)
+    : app_(num_procs),
+      conj_wake_(sz(num_procs)),
+      disj_wake_(sz(num_procs)),
+      frozen_(sz(num_procs)) {}
 
 void OnlineMonitor::internal(ProcId i) {
   app_.internal(i);
@@ -90,14 +96,10 @@ void OnlineMonitor::finish() {
       FlightRecorder::global(), kFinish, events_seen(),
       static_cast<std::int64_t>(conj_.size() + disj_.size() +
                                 stable_.size() + until_.size()));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  for (auto& w : conj_) step_conj(w);
-  for (auto& w : disj_) step_disj(w);
-  for (auto& w : stable_) step_stable(w);
-  for (auto& w : until_) step_until(w);
-  round_ = nullptr;
-  if (t.exceeded()) {
+  const Computation& c = app_.computation();
+  for (ProcId i = 0; i < c.num_procs(); ++i) frozen_[sz(i)] = c.num_events(i);
+  const BoundReason bound = run_round(-1);
+  if (bound != BoundReason::kNone) {
     // The final round ran out of budget: watches still undecided can no
     // longer be resumed (no further events arrive), so they report kUnknown
     // rather than staying silent as if the condition never occurred.
@@ -106,7 +108,7 @@ void OnlineMonitor::finish() {
       w.done = true;
       fire(id, app_.current_cut(),
            std::string("undecided (budget): ") + kind, Verdict::kUnknown,
-           t.reason());
+           bound);
     };
     for (auto& w : conj_) give_up(w.id, w, "conjunctive watch");
     for (auto& w : disj_) give_up(w.id, w, "disjunctive watch");
@@ -122,27 +124,82 @@ void OnlineMonitor::finish() {
   for (auto& w : until_) w.done = true;
 }
 
-EventIndex OnlineMonitor::frozen_limit(ProcId i) const {
-  const EventIndex n = app_.computation().num_events(i);
-  if (finished_) return n;
-  // The newest event may still receive writes; position 0 (initial values)
-  // is always frozen because set_initial precedes the first event globally.
-  return n > 0 ? n - 1 : 0;
+void OnlineMonitor::on_event(ProcId i) {
+  // The newest event may still receive writes, so only the one before it
+  // freezes; position 0 (initial values) is frozen from the start because
+  // set_initial precedes the first event globally.
+  const EventIndex events = app_.computation().num_events(i);
+  frozen_[sz(i)] = finished_ ? events : events - 1;
+  ScopedSpan span(budget_.trace, "monitor.round");
+  run_round(i);
 }
 
-void OnlineMonitor::on_event(ProcId) {
-  // Each event's evaluation round gets a fresh work allowance; the tracker
-  // bases itself on the cumulative counters, so only this round's work is
-  // charged. A tripped round suspends the remaining steps; every watch's
-  // incremental state resumes on the next event.
-  ScopedSpan span(budget_.trace, "monitor.round");
+BoundReason OnlineMonitor::run_round(ProcId woken) {
+  // Each round gets a fresh work allowance; the tracker bases itself on the
+  // cumulative counters, so only this round's work is charged. A tripped
+  // round suspends the remaining steps, and every watch's incremental
+  // state resumes in the next round — a full one, because the watches the
+  // tripped round never reached (or left half-stepped) may hold work on
+  // processes the next event does not wake.
   BudgetTracker t(budget_, work_);
   round_ = &t;
-  for (auto& w : conj_) step_conj(w);
-  for (auto& w : disj_) step_disj(w);
+  if (woken < 0 || catch_up_) {
+    for (auto& w : conj_) step_conj(w, -1);
+    for (auto& w : disj_) step_disj(w);
+  } else {
+    step_woken(woken);
+  }
   for (auto& w : stable_) step_stable(w);
   for (auto& w : until_) step_until(w);
   round_ = nullptr;
+  catch_up_ = t.exceeded();
+  return t.reason();
+}
+
+void OnlineMonitor::step_woken(ProcId i) {
+  // Stepping a watch may list it on other processes (a GW repair resets
+  // their candidates), never on i: a watch walked here is already listed on
+  // i. So neither list below changes size while it is walked.
+  std::vector<std::uint32_t>& conj = conj_wake_[sz(i)];
+  std::size_t kept = 0;
+  for (const std::uint32_t slot : conj) {
+    ConjWatch& w = conj_[slot];
+    if (!w.done && w.cand[sz(i)] < 0) step_conj(w, i);
+    if (!w.done && w.cand[sz(i)] < 0) {
+      conj[kept++] = slot;
+    } else {
+      w.listed[sz(i)] = false;
+    }
+  }
+  conj.resize(kept);
+
+  std::vector<std::uint32_t>& disj = disj_wake_[sz(i)];
+  kept = 0;
+  for (const std::uint32_t slot : disj) {
+    DisjWatch& w = disj_[slot];
+    step_disj(w);
+    if (!w.done) disj[kept++] = slot;
+  }
+  disj.resize(kept);
+}
+
+template <typename Step>
+void OnlineMonitor::registration_round(Step step) {
+  BudgetTracker t(budget_, work_);
+  round_ = &t;
+  step();
+  round_ = nullptr;
+  // A tripped registration step may stop short of positions no event will
+  // wake it for; the next round catches it up.
+  if (t.exceeded()) catch_up_ = true;
+}
+
+void OnlineMonitor::list_conj(std::uint32_t slot, ProcId j) {
+  ConjWatch& w = conj_[slot];
+  if (w.listed[sz(j)]) return;
+  w.listed[sz(j)] = true;
+  std::vector<std::uint32_t>& l = conj_wake_[sz(j)];
+  l.insert(std::upper_bound(l.begin(), l.end(), slot), slot);
 }
 
 void OnlineMonitor::fire(WatchId id, Cut cut, const std::string& what,
@@ -177,20 +234,7 @@ WatchId OnlineMonitor::watch_possibly(ConjunctivePredicatePtr p) {
   const std::int32_t n = app_.computation().num_procs();
   for (const auto& l : p->locals())
     HBCT_ASSERT_MSG(l->proc() < n, "conjunct references an unknown process");
-  ConjWatch w;
-  w.id = next_id_++;
-  fired_.push_back(false);
-  kinds_.push_back(WatchKind::kConjunctive);
-  w.pred = std::move(p);
-  w.violation_of_invariant = false;
-  w.cand.assign(sz(n), -1);
-  w.scan.assign(sz(n), 0);
-  conj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_conj(conj_.back());
-  round_ = nullptr;
-  return conj_.back().id;
+  return add_conj(std::move(p), WatchKind::kConjunctive);
 }
 
 WatchId OnlineMonitor::watch_invariant(DisjunctivePredicatePtr p) {
@@ -199,21 +243,29 @@ WatchId OnlineMonitor::watch_invariant(DisjunctivePredicatePtr p) {
                   "scanning watches must be registered before prefix GC");
   auto notp = as_conjunctive(p->negate());
   HBCT_ASSERT(notp);
+  return add_conj(std::move(notp), WatchKind::kInvariant);
+}
+
+WatchId OnlineMonitor::add_conj(ConjunctivePredicatePtr p, WatchKind kind) {
   const std::int32_t n = app_.computation().num_procs();
   ConjWatch w;
   w.id = next_id_++;
+  w.slot = static_cast<std::uint32_t>(conj_.size());
   fired_.push_back(false);
-  kinds_.push_back(WatchKind::kInvariant);
-  w.pred = notp;
-  w.violation_of_invariant = true;
+  kinds_.push_back(kind);
+  w.pred = std::move(p);
+  w.violation_of_invariant = kind == WatchKind::kInvariant;
+  w.unset = n;
   w.cand.assign(sz(n), -1);
   w.scan.assign(sz(n), 0);
+  w.listed.assign(sz(n), false);
   conj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_conj(conj_.back());
-  round_ = nullptr;
-  return conj_.back().id;
+  ConjWatch& added = conj_.back();
+  registration_round([&] { step_conj(added, -1); });
+  if (!added.done)
+    for (ProcId i = 0; i < n; ++i)
+      if (added.cand[sz(i)] < 0) list_conj(added.slot, i);
+  return added.id;
 }
 
 WatchId OnlineMonitor::watch_possibly(DisjunctivePredicatePtr p) {
@@ -221,18 +273,22 @@ WatchId OnlineMonitor::watch_possibly(DisjunctivePredicatePtr p) {
   HBCT_ASSERT_MSG(app_.computation().trimmed_events() == 0,
                   "scanning watches must be registered before prefix GC");
   const std::int32_t n = app_.computation().num_procs();
+  for (const auto& l : p->locals())
+    HBCT_ASSERT_MSG(l->proc() < n, "disjunct references an unknown process");
   DisjWatch w;
   w.id = next_id_++;
   fired_.push_back(false);
   kinds_.push_back(WatchKind::kDisjunctive);
   w.pred = std::move(p);
-  w.scan.assign(sz(n), 0);
+  w.scan.assign(w.pred->locals().size(), 0);
+  const auto slot = static_cast<std::uint32_t>(disj_.size());
   disj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_disj(disj_.back());
-  round_ = nullptr;
-  return disj_.back().id;
+  DisjWatch& added = disj_.back();
+  registration_round([&] { step_disj(added); });
+  if (!added.done)
+    for (const auto& l : added.pred->locals())
+      disj_wake_[sz(l->proc())].push_back(slot);
+  return added.id;
 }
 
 WatchId OnlineMonitor::watch_until(ConjunctivePredicatePtr p,
@@ -250,11 +306,9 @@ WatchId OnlineMonitor::watch_until(ConjunctivePredicatePtr p,
   w.inc = until_inc_enabled();
   w.cand = app_.computation().initial_cut();
   until_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_until(until_.back());
-  round_ = nullptr;
-  return until_.back().id;
+  UntilWatch& added = until_.back();
+  registration_round([&] { step_until(added); });
+  return added.id;
 }
 
 WatchId OnlineMonitor::watch_stable(PredicatePtr p) {
@@ -265,62 +319,69 @@ WatchId OnlineMonitor::watch_stable(PredicatePtr p) {
   kinds_.push_back(WatchKind::kStable);
   w.pred = std::move(p);
   stable_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_stable(stable_.back());
-  round_ = nullptr;
-  return stable_.back().id;
+  StableWatch& added = stable_.back();
+  registration_round([&] { step_stable(added); });
+  return added.id;
 }
 
-void OnlineMonitor::step_conj(ConjWatch& w) {
+void OnlineMonitor::step_conj(ConjWatch& w, ProcId woken) {
   if (w.done) return;
   ScopedSpan span(budget_.trace, "monitor.watch.conj");
   span.arg("watch", w.id);
   const Computation& c = app_.computation();
   const std::int32_t n = c.num_procs();
 
-  // Advance any unset candidate through the newly frozen positions. The
+  // Advance an unset candidate through the newly frozen positions. The
   // scan position persists, so a budget-suspended advance resumes exactly
   // where it stopped.
   auto advance = [&](ProcId i) {
     auto& pos = w.scan[sz(i)];
     while (w.cand[sz(i)] < 0 && pos <= frozen_limit(i)) {
-      if (!round_ok()) return false;
+      if (!round_ok()) return;
       ++work_.predicate_evals;
-      if (w.pred->eval_local(c, i, pos)) w.cand[sz(i)] = pos;
+      if (w.pred->eval_local(c, i, pos)) {
+        w.cand[sz(i)] = pos;
+        --w.unset;
+      }
       ++pos;
     }
-    return w.cand[sz(i)] >= 0;
   };
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  if (woken >= 0) {
+    advance(woken);
+  } else {
     // Advance every process even once one is known to be stuck: a position
     // where the local predicate is false can never become a candidate, so
     // pre-scanning the other timelines is free — and min_watch_frontier
     // pins at `scan`, so a timeline left at 0 would hold the whole prefix
     // resident until this watch fires.
-    bool stuck = false;
-    for (ProcId i = 0; i < n; ++i)
-      if (!advance(i)) stuck = true;  // more events (or budget) needed on i
-    if (stuck) return;
-    // All candidates set: repair pairwise consistency (GW weak).
-    for (ProcId i = 0; i < n && !changed; ++i) {
+    for (ProcId i = 0; i < n; ++i) advance(i);
+  }
+
+  // All candidates set: repair pairwise consistency (GW weak), one clock
+  // demand at a time. A demand resets the candidate of j, which puts j in
+  // the stuck set (and on j's wake list) until a true position at or after
+  // the demand freezes — even when the watch has no conjunct on j.
+  while (w.unset == 0) {
+    ProcId reset = -1;
+    for (ProcId i = 0; i < n && reset < 0; ++i) {
       if (w.cand[sz(i)] == 0) continue;
       const VClockView vc = c.vclock(i, w.cand[sz(i)]);
       for (ProcId j = 0; j < n; ++j) {
         if (j == i || vc[sz(j)] <= w.cand[sz(j)]) continue;
-        // The candidate of j must move to a true position at or after the
-        // clock demand; restart its scan there.
         ++work_.cut_steps;
         w.scan[sz(j)] = std::max(w.scan[sz(j)], vc[sz(j)]);
         w.cand[sz(j)] = -1;
-        changed = true;
+        ++w.unset;
+        list_conj(w.slot, j);
+        reset = j;
         break;
       }
     }
+    if (reset < 0) break;  // consistent: the least satisfying cut
+    advance(reset);
   }
+  if (w.unset > 0) return;  // more events (or budget) needed on the stuck set
 
   Cut cut(sz(n));
   for (ProcId i = 0; i < n; ++i) cut[sz(i)] = w.cand[sz(i)];
@@ -337,12 +398,16 @@ void OnlineMonitor::step_disj(DisjWatch& w) {
   ScopedSpan span(budget_.trace, "monitor.watch.disj");
   span.arg("watch", w.id);
   const Computation& c = app_.computation();
-  for (ProcId i = 0; i < c.num_procs(); ++i) {
-    auto& pos = w.scan[sz(i)];
+  // Only processes with a disjunct are scanned, in process order: the
+  // predicate is false everywhere else, so skipping them changes no fire.
+  const auto& locals = w.pred->locals();
+  for (std::size_t k = 0; k < locals.size(); ++k) {
+    const ProcId i = locals[k]->proc();
+    auto& pos = w.scan[k];
     for (; pos <= frozen_limit(i); ++pos) {
       if (!round_ok()) return;  // resume at `pos` next round
       ++work_.predicate_evals;
-      if (!w.pred->eval_local(c, i, pos)) continue;
+      if (!locals[k]->eval_local(c, pos)) continue;
       w.done = true;
       Cut cut = pos == 0 ? c.initial_cut() : c.join_irreducible_of(i, pos);
       fire(w.id, std::move(cut), "possibly: " + w.pred->describe());
@@ -356,15 +421,11 @@ void OnlineMonitor::step_stable(StableWatch& w) {
   ScopedSpan span(budget_.trace, "monitor.watch.stable");
   span.arg("watch", w.id);
   if (!round_ok()) return;  // re-evaluated from scratch next round
-  const Computation& c = app_.computation();
   // Evaluate on the frozen frontier; stability makes any hit permanent.
-  Cut frontier(static_cast<std::size_t>(c.num_procs()));
-  for (ProcId i = 0; i < c.num_procs(); ++i)
-    frontier[sz(i)] = frozen_limit(i);
   ++work_.predicate_evals;
-  if (w.pred->eval(c, frontier)) {
+  if (w.pred->eval(app_.computation(), frozen_)) {
     w.done = true;
-    fire(w.id, frontier, "stable: " + w.pred->describe());
+    fire(w.id, frozen_, "stable: " + w.pred->describe());
   }
 }
 
@@ -386,12 +447,8 @@ void OnlineMonitor::step_until(UntilWatch& w) {
   if (w.inc) {
     if (!w.eg.bound()) w.eg.bind(c, *w.p, /*instrumented=*/true);
     // Per-round hot path: no span (a span per event per watch dominates the
-    // feed when tracing is on — the work is visible as until_inc_evals) and
-    // a reused limits buffer instead of a fresh Cut allocation.
-    if (w.limits.size() != sz(c.num_procs())) w.limits = Cut(sz(c.num_procs()));
-    for (ProcId i = 0; i < c.num_procs(); ++i)
-      w.limits[sz(i)] = frozen_limit(i);
-    w.eg.advance_to(w.limits, work_, round_);
+    // feed when tracing is on — the work is visible as until_inc_evals).
+    w.eg.advance_to(frozen_, work_, round_);
   }
 
   // Resume the Chase–Garg walk toward I_q over the frozen prefix. The walk
@@ -485,7 +542,8 @@ Cut OnlineMonitor::min_watch_frontier() const {
         pin(i, w.cand[sz(i)] >= 0 ? w.cand[sz(i)] : w.scan[sz(i)]);
   for (const DisjWatch& w : disj_)
     if (!w.done)
-      for (ProcId i = 0; i < n; ++i) pin(i, w.scan[sz(i)]);
+      for (std::size_t k = 0; k < w.scan.size(); ++k)
+        pin(w.pred->locals()[k]->proc(), w.scan[k]);
   for (const UntilWatch& w : until_) {
     if (w.done) continue;
     if (w.inc) {
@@ -554,9 +612,16 @@ std::size_t OnlineMonitor::watch_state_bytes() const {
   const auto cut_bytes = [](const Cut& g) {
     return g.size() * sizeof(EventIndex);
   };
-  std::size_t total = 0;
+  const auto lists_bytes =
+      [](const std::vector<std::vector<std::uint32_t>>& lists) {
+        std::size_t b = 0;
+        for (const auto& l : lists) b += l.capacity() * sizeof(std::uint32_t);
+        return b;
+      };
+  std::size_t total = lists_bytes(conj_wake_) + lists_bytes(disj_wake_);
   for (const ConjWatch& w : conj_)
-    total += sizeof(w) + vec_bytes(w.cand) + vec_bytes(w.scan);
+    total += sizeof(w) + vec_bytes(w.cand) + vec_bytes(w.scan) +
+             w.listed.capacity() / 8;
   for (const DisjWatch& w : disj_) total += sizeof(w) + vec_bytes(w.scan);
   total += stable_.size() * sizeof(StableWatch);
   for (const UntilWatch& w : until_)

@@ -147,13 +147,16 @@ class OnlineMonitor {
 
   /// Per-process minimum position any live watch may still need to read.
   /// Starts at the frozen limits and is pulled down by every undecided
-  /// watch: a conjunctive watch needs its candidate/scan positions, a
-  /// disjunctive watch its scan positions, and an until watch its q-walk
-  /// candidate and EG-table scan floors (incremental mode — the decision
-  /// replays off the table, so the already-scanned prefix is never re-read;
-  /// DESIGN.md §18) or the whole prefix below I_q (batch mode, where
-  /// Theorem 7's decision re-reads the entire sub-computation under the
-  /// walk target). Monotone nondecreasing over the session's lifetime.
+  /// watch: a conjunctive watch needs its candidate/scan positions on every
+  /// process (a vacuous conjunct's candidate still takes part in the GW
+  /// repair), a disjunctive watch its scan positions on the processes it
+  /// has a disjunct on and nothing elsewhere (it never reads the others),
+  /// and an until watch its q-walk candidate and EG-table scan floors
+  /// (incremental mode — the decision replays off the table, so the
+  /// already-scanned prefix is never re-read; DESIGN.md §18) or the whole
+  /// prefix below I_q (batch mode, where Theorem 7's decision re-reads the
+  /// entire sub-computation under the walk target). Monotone nondecreasing
+  /// over the session's lifetime.
   Cut min_watch_frontier() const;
 
   /// Reclaims the computation prefix below the min-watch frontier (lowered
@@ -191,19 +194,29 @@ class OnlineMonitor {
  private:
   struct ConjWatch {
     WatchId id;
+    std::uint32_t slot;  // index in conj_ (the wake lists hold slots)
     ConjunctivePredicatePtr pred;
     bool violation_of_invariant;  // reporting flavor
     bool done = false;
+    /// Number of processes with cand < 0: the watch's stuck set is empty
+    /// exactly when this is 0, and only then can the GW repair fire it.
+    std::int32_t unset = 0;
     /// Candidate position per process; -1 = no true position found yet.
     std::vector<EventIndex> cand;
     /// Next position to test per process.
     std::vector<EventIndex> scan;
+    /// listed[i]: the watch is on conj_wake_[i]. An entry may outlive the
+    /// stuck state that put it there; it is dropped when i's list is next
+    /// walked.
+    std::vector<bool> listed;
   };
   struct DisjWatch {
     WatchId id;
     DisjunctivePredicatePtr pred;
     bool done = false;
-    std::vector<EventIndex> scan;  // next untested position per process
+    /// Next untested position per disjunct, in pred->locals() order (one
+    /// disjunct per process, sorted by process).
+    std::vector<EventIndex> scan;
   };
   struct StableWatch {
     WatchId id;
@@ -224,15 +237,43 @@ class OnlineMonitor {
     /// in min_watch_frontier.
     bool inc = false;
     Cut cand;    // Chase-Garg frontier toward I_q
-    Cut limits;  // reused frozen-limits buffer (inc feed path, no realloc)
     EgPrefixState eg;  // incremental EG(p) decision state (inc mode)
   };
 
   /// Largest local position of proc i whose state can no longer change.
-  EventIndex frozen_limit(ProcId i) const;
+  EventIndex frozen_limit(ProcId i) const {
+    return frozen_[static_cast<std::size_t>(i)];
+  }
 
+  /// Applies the event just appended on proc i: refreezes i's tail and
+  /// runs one evaluation round. The round steps the conjunctive and
+  /// invariant watches stuck on i and the disjunctive watches with a
+  /// disjunct on i — no other scanning watch has a newly frozen position
+  /// to read — plus every stable and until watch. After a round whose
+  /// budget tripped, the next round steps every live watch instead, which
+  /// catches up the watches the tripped round left half-stepped. DESIGN.md
+  /// §19 states the wake rule and why it reproduces stepping every watch.
   void on_event(ProcId i);
-  void step_conj(ConjWatch& w);
+  /// One evaluation round under a fresh budget allowance: woken < 0 (or a
+  /// pending catch-up) steps every live watch, otherwise only the watches
+  /// woken by an event on `woken`. Returns the round's bound reason
+  /// (kNone when it completed).
+  BoundReason run_round(ProcId woken);
+  /// Steps the scanning watches on proc i's wake lists, in registration
+  /// order, and drops the entries that no longer belong there.
+  void step_woken(ProcId i);
+  /// Registration round: steps one new watch under a fresh allowance.
+  template <typename Step>
+  void registration_round(Step step);
+  /// Registers a conjunctive or invariant watch (p is the predicate the
+  /// GW machinery searches for) and lists it on its stuck set.
+  WatchId add_conj(ConjunctivePredicatePtr p, WatchKind kind);
+  /// Puts conj_[slot] on proc j's wake list (kept sorted by slot, so a
+  /// round fires in registration order).
+  void list_conj(std::uint32_t slot, ProcId j);
+  /// woken < 0: advance every process (registration, finish, catch-up);
+  /// otherwise only `woken`, the one process with new frozen positions.
+  void step_conj(ConjWatch& w, ProcId woken);
   void step_disj(DisjWatch& w);
   void step_stable(StableWatch& w);
   void step_until(UntilWatch& w);
@@ -248,6 +289,17 @@ class OnlineMonitor {
   std::vector<DisjWatch> disj_;
   std::vector<StableWatch> stable_;
   std::vector<UntilWatch> until_;
+  /// Per-process wake lists of conj_ / disj_ slots, ascending. A
+  /// conjunctive or invariant watch is listed on every process in its
+  /// stuck set (cand < 0); a disjunctive watch on every process it has a
+  /// disjunct on. Fired watches drop out when the list is next walked.
+  std::vector<std::vector<std::uint32_t>> conj_wake_;
+  std::vector<std::vector<std::uint32_t>> disj_wake_;
+  /// frozen_limit() of every process, updated as events arrive: the cut
+  /// stable watches evaluate on and until watches feed their EG table to.
+  Cut frozen_;
+  /// The previous round tripped its budget: the next one steps every watch.
+  bool catch_up_ = false;
   std::vector<WatchFire> pending_;
   std::vector<bool> fired_;
   std::vector<WatchKind> kinds_;  // indexed by WatchId

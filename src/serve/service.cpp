@@ -105,7 +105,7 @@ bool StreamingService::post(SessionId sid, std::string bytes) {
   if (e == nullptr) return false;
   bool schedule = false;
   {
-    std::lock_guard<std::mutex> lk(e->mu);
+    std::lock_guard<std::mutex> lk(e->inbox_mu);
     e->inbox.push_back(std::move(bytes));
     if (!e->scheduled) {
       e->scheduled = true;
@@ -162,7 +162,7 @@ void StreamingService::pump(const std::shared_ptr<Entry>& e) {
   for (;;) {
     std::string chunk;
     {
-      std::lock_guard<std::mutex> lk(e->mu);
+      std::lock_guard<std::mutex> lk(e->inbox_mu);
       if (e->inbox.empty()) {
         e->scheduled = false;
         return;
@@ -170,10 +170,9 @@ void StreamingService::pump(const std::shared_ptr<Entry>& e) {
       chunk = std::move(e->inbox.front());
       e->inbox.pop_front();
     }
-    // Apply outside the inbox-pop critical section conceptually, but under
-    // the same mutex: only this pump touches the Session (the `scheduled`
-    // flag guarantees a single pump per session), while post() may briefly
-    // hold the mutex to enqueue the next chunk.
+    // The `scheduled` flag makes this the session's only pump, so the
+    // session mutex only orders the ingest against poll()/stats()/close()
+    // callers; post() takes the inbox mutex alone and never waits here.
     std::lock_guard<std::mutex> lk(e->mu);
     ScopedSpan span(trace_, "serve.ingest");
     static const std::uint16_t kIngest = FlightRecorder::global().intern(

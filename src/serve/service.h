@@ -6,11 +6,12 @@
 //  - The session table is sharded; each shard has its own mutex, so opening
 //    and looking up sessions scales with the shard count.
 //  - post() enqueues a chunk into the session's inbox and, if no pump task
-//    is in flight for that session, schedules one on the pool. The pump
-//    drains the inbox one chunk at a time under the session's own mutex and
-//    unschedules itself when the inbox is empty. At most one pump per
-//    session runs at a time, so a Session never sees concurrent access, but
-//    distinct sessions drain fully in parallel.
+//    is in flight for that session, schedules one on the pool. The inbox
+//    has its own mutex, held only to push or pop a chunk, so post() never
+//    waits behind an ingest. The pump pops one chunk at a time and applies
+//    it under the session mutex, and unschedules itself when the inbox is
+//    empty. At most one pump per session runs at a time, so a Session never
+//    sees concurrent access, but distinct sessions drain fully in parallel.
 //  - A malformed stream fails only its own session; the service, the pool
 //    and every other session keep running.
 //
@@ -93,8 +94,12 @@ class StreamingService {
 
  private:
   struct Entry {
+    /// Guards the session and the gauge bookkeeping below; held by the
+    /// pump for a whole chunk's ingest.
     std::mutex mu;
     Session session;
+    /// Guards inbox and scheduled only, so post() never waits on `mu`.
+    std::mutex inbox_mu;
     std::deque<std::string> inbox;
     bool scheduled = false;          // a pump task is queued or running
     std::int64_t gauged_resident = 0;  // last value folded into the gauge

@@ -75,6 +75,10 @@ struct BadQuery {
   const char* text;
 };
 
+// Without a printer gtest dumps the struct's bytes (two pointers) into the
+// listed test name, so the name would change with every address layout.
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.name; }
+
 class CtlParserErrors : public ::testing::TestWithParam<BadQuery> {};
 
 TEST_P(CtlParserErrors, Rejected) {

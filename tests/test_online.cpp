@@ -4,6 +4,9 @@
 // witness cuts and the earliest-prefix property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "detect/brute_force.h"
 #include "detect/conjunctive_gw.h"
 #include "detect/disjunctive.h"
@@ -11,6 +14,7 @@
 #include "detect/until.h"
 #include "online/appender.h"
 #include "online/monitor.h"
+#include "online_reference.h"
 #include "poset/generate.h"
 #include "predicate/channel.h"
 #include "util/rng.h"
@@ -385,6 +389,185 @@ TEST(OnlineMonitor, FreezeRulePreventsPrematureFiring) {
   m.write(0, "x", 0);   // the event actually set x = 0
   m.finish();
   EXPECT_FALSE(m.fired(w));
+}
+
+// ---- Event-driven scheduling: exact fire timing ----------------------------------
+
+/// A dozen-plus processes with dozens of two-process watches on one monitor:
+/// every watch wakes on a few processes only, so a wake-list bug that
+/// delays a fire to a later event (or to finish()) changes its at_event.
+Computation wide_computation(std::uint64_t seed) {
+  GenOptions opt;
+  opt.num_procs = 12 + static_cast<std::int32_t>(seed % 5);
+  opt.events_per_proc = 10;
+  opt.p_send = 0.3;
+  opt.seed = seed;
+  return generate_random(opt);
+}
+
+class WakeListDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WakeListDifferential, FiresAndWorkMatchTheStepAllLoop) {
+  const Computation ref = wide_computation(GetParam());
+  const auto watches = online_ref::wide_watches(ref.num_procs(), 36, GetParam());
+  OnlineMonitor m(ref.num_procs());
+  online_ref::arm(m, ref, watches);
+  const std::vector<WatchFire> fires = online_ref::stream_into(m, ref);
+
+  const auto r = online_ref::run_reference(ref, watches);
+  online_ref::expect_reference_fires(fires, r);
+  // Conjunctive work is unchanged; disjunctive work drops by exactly the
+  // positions on processes a watch has no disjunct on.
+  EXPECT_EQ(m.work().cut_steps, r.cut_steps);
+  EXPECT_EQ(m.work().predicate_evals, r.conj_evals + r.disj_support_evals);
+  EXPECT_GT(r.disj_other_evals, 0);
+}
+
+TEST_P(WakeListDifferential, FiresAtTheFirstPrefixCoveringTheWitness) {
+  const Computation ref = wide_computation(GetParam());
+  const auto watches = online_ref::wide_watches(ref.num_procs(), 36, GetParam());
+  OnlineMonitor m(ref.num_procs());
+  online_ref::arm(m, ref, watches);
+  const std::vector<WatchFire> fires = online_ref::stream_into(m, ref);
+
+  // The oracle comes from offline detection alone. Within one round the
+  // monitor fires conjunctive and invariant watches before disjunctive
+  // ones, each in registration order; registration fires (row 0) come in
+  // registration order.
+  const std::vector<Cut> rows = online_ref::frozen_rows(ref);
+  struct Expected {
+    std::int64_t row;
+    int group;
+    WatchId id;
+    Cut cut;
+  };
+  std::vector<Expected> expected;
+  for (std::size_t k = 0; k < watches.size(); ++k) {
+    const online_ref::WideWatch& w = watches[k];
+    const auto id = static_cast<WatchId>(k);
+    if (w.kind == WatchKind::kDisjunctive) {
+      const auto o = online_ref::fire_oracle_disj(ref, rows, *w.disj);
+      if (o.row >= 0) expected.push_back({o.row, o.row == 0 ? 0 : 1, id, o.cut});
+      continue;
+    }
+    const ConjunctivePredicatePtr p = w.kind == WatchKind::kConjunctive
+                                          ? w.conj
+                                          : as_conjunctive(w.disj->negate());
+    const DetectResult off = detect_ef_conjunctive(ref, *p);
+    if (off.verdict != Verdict::kHolds) continue;
+    expected.push_back(
+        {online_ref::fire_oracle_conj(rows, *off.witness_cut), 0, id,
+         *off.witness_cut});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Expected& a, const Expected& b) {
+              return std::tie(a.row, a.group, a.id) <
+                     std::tie(b.row, b.group, b.id);
+            });
+  ASSERT_EQ(fires.size(), expected.size());
+  std::size_t mid_stream = 0;
+  for (std::size_t k = 0; k < fires.size(); ++k) {
+    const Expected& e = expected[k];
+    EXPECT_EQ(fires[k].watch, e.id) << "fire " << k;
+    EXPECT_EQ(fires[k].at_event, online_ref::at_event_of_row(rows, e.row))
+        << "watch " << e.id;
+    EXPECT_EQ(fires[k].cut, e.cut) << "watch " << e.id;
+    if (e.row > 0 && e.row + 1 < static_cast<std::int64_t>(rows.size()))
+      ++mid_stream;
+  }
+  EXPECT_GT(mid_stream, 0u) << "no fire landed between registration and finish";
+}
+
+TEST_P(WakeListDifferential, TinyRoundBudgetsStaySoundAndCatchUp) {
+  const Computation ref = wide_computation(GetParam());
+  const auto watches = online_ref::wide_watches(ref.num_procs(), 36, GetParam());
+  OnlineMonitor plain(ref.num_procs());
+  online_ref::arm(plain, ref, watches);
+  std::vector<const WatchFire*> want(watches.size(), nullptr);
+  const std::vector<WatchFire> plain_fires = online_ref::stream_into(plain, ref);
+  for (const WatchFire& f : plain_fires) want[static_cast<std::size_t>(f.watch)] = &f;
+
+  // Tiny round budgets over the first half of the stream, then none: the
+  // first unbudgeted round steps every watch, after which every fire lands
+  // exactly where the unbudgeted run's does.
+  const std::int64_t lift = ref.total_events() / 2;
+  for (const std::int64_t max_work : {1, 4, 16}) {
+    OnlineMonitor m(ref.num_procs());
+    Budget b;
+    b.max_work = max_work;
+    m.set_budget(b);
+    online_ref::arm(m, ref, watches);
+    std::int64_t seen = 0;
+    const std::vector<WatchFire> fires = online_ref::stream_into(m, ref, [&] {
+      if (++seen == lift) m.set_budget(Budget{});
+    });
+    std::vector<const WatchFire*> got(watches.size(), nullptr);
+    for (const WatchFire& f : fires) {
+      const auto k = static_cast<std::size_t>(f.watch);
+      ASSERT_EQ(got[k], nullptr) << "watch " << k << " fired twice";
+      got[k] = &f;
+      // Every definite verdict is sound, and none precedes the unbudgeted
+      // run's.
+      ASSERT_NE(want[k], nullptr) << "watch " << k << " budget " << max_work;
+      EXPECT_EQ(f.verdict, Verdict::kHolds);
+      EXPECT_GE(f.at_event, want[k]->at_event) << "watch " << k;
+      if (f.at_event > lift) {
+        EXPECT_EQ(f.at_event, std::max(want[k]->at_event, lift + 1))
+            << "watch " << k << " budget " << max_work;
+      }
+    }
+    // The final verdicts equal the unbudgeted run's.
+    for (std::size_t k = 0; k < watches.size(); ++k) {
+      ASSERT_EQ(got[k] != nullptr, want[k] != nullptr)
+          << "watch " << k << " budget " << max_work;
+      if (got[k] == nullptr) continue;
+      EXPECT_EQ(got[k]->verdict, want[k]->verdict);
+      if (watches[k].kind != WatchKind::kDisjunctive) {
+        // The least satisfying (or violating) cut is unique.
+        EXPECT_EQ(got[k]->cut, want[k]->cut) << "watch " << k;
+        continue;
+      }
+      // A disjunctive witness is the first true position the scan meets,
+      // which depends on when the watch got its budget: any is sound.
+      const Cut& g = got[k]->cut;
+      EXPECT_TRUE(ref.is_consistent(g)) << "watch " << k;
+      EXPECT_TRUE(watches[k].disj->eval(ref, g)) << "watch " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WakeListDifferential,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(OnlineMonitor, RepairStallOnAnUnreadProcessFiresOnItsNextEvent) {
+  // The watch reads P0 and P1 only. P0's candidate was caused by P2's send,
+  // so the GW repair makes the watch wait for P2's position 1 to freeze.
+  // The fire must land on P2's next event, not on a later event of the
+  // processes the predicate reads, nor at finish().
+  OnlineMonitor m(3);
+  m.var("x");
+  m.var("y");
+  const WatchId w = m.watch_possibly(make_conjunctive(
+      {var_cmp(0, "x", Cmp::kEq, 1), var_cmp(1, "y", Cmp::kEq, 1)}));
+  m.internal(1);
+  m.write(1, "y", 1);
+  m.internal(1);  // freezes P1's position 1
+  const MsgId msg = m.send(2, 0);
+  m.receive(0, msg);
+  m.write(0, "x", 1);
+  m.internal(0);  // freezes P0's position 1, whose clock demands P2 >= 1
+  EXPECT_FALSE(m.fired(w));
+  for (int k = 0; k < 4; ++k) {
+    m.internal(0);
+    m.internal(1);
+  }
+  EXPECT_FALSE(m.fired(w)) << "fired before P2's send froze";
+  m.internal(2);
+  ASSERT_TRUE(m.fired(w));
+  const auto fires = m.poll();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0].at_event, m.events_seen());
+  EXPECT_EQ(fires[0].cut, Cut({1, 1, 1}));
 }
 
 }  // namespace

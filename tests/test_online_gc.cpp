@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "online/monitor.h"
+#include "online_reference.h"
 #include "poset/generate.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
@@ -163,6 +164,71 @@ TEST_P(GcDifferential, FiresBitIdenticalUnderBudget) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcDifferential,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// ---- Wide computations: GC under event-driven scheduling ------------------------
+
+class WideGcDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WideGcDifferential, FiresMatchTheStepAllLoopWithGcOn) {
+  // Dozens of two-process watches over a dozen-plus processes, collected
+  // every few events. The wake lists leave most watches unstepped on most
+  // events; GC must still reclaim only what none of them reads again, and
+  // every fire must equal the step-all loop's, at the same event.
+  GenOptions opt;
+  opt.num_procs = 12 + static_cast<std::int32_t>(GetParam() % 5);
+  opt.events_per_proc = 10;
+  opt.p_send = 0.3;
+  opt.seed = GetParam() + 500;
+  const Computation ref = generate_random(opt);
+  std::vector<online_ref::WideWatch> mixed =
+      online_ref::wide_watches(ref.num_procs(), 36, GetParam() + 500);
+  // A never-firing conjunctive watch pins every process it has no conjunct
+  // on at its vacuous candidate, so the mixed set rarely lets GC reclaim.
+  // The disjunctive watches alone pin only what they read, and must.
+  std::vector<online_ref::WideWatch> disjunctive;
+  for (const auto& w : mixed)
+    if (w.kind == WatchKind::kDisjunctive) disjunctive.push_back(w);
+
+  for (const std::vector<online_ref::WideWatch>* watches :
+       {&mixed, &disjunctive}) {
+    OnlineMonitor m(ref.num_procs());
+    online_ref::arm(m, ref, *watches);
+    std::int64_t step = 0;
+    std::int64_t reclaimed = 0;
+    const std::vector<WatchFire> fires = online_ref::stream_into(m, ref, [&] {
+      if (++step % 5 == 0) reclaimed += m.collect_prefix();
+    });
+    online_ref::expect_reference_fires(
+        fires, online_ref::run_reference(ref, *watches));
+    if (watches == &disjunctive) {
+      EXPECT_GT(reclaimed, 0) << "GC never reclaimed anything for this seed";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WideGcDifferential,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(PrefixGc, DisjunctiveWatchPinsOnlyTheProcessesItReads) {
+  // A never-true disjunct on P0 and P1 of four processes: the watch reads
+  // nothing on P2 and P3, so it must not hold their prefixes resident.
+  OnlineMonitor m(4);
+  m.var("x");
+  m.watch_possibly(make_disjunctive(
+      {var_cmp(0, "x", Cmp::kLt, 0), var_cmp(1, "x", Cmp::kLt, 0)}));
+  std::int64_t max_resident = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (ProcId i = 0; i < 4; ++i) m.internal(i);
+    if (round % 8 == 7) m.collect_prefix();
+    max_resident = std::max(max_resident, m.resident_events());
+  }
+  const Cut f = m.min_watch_frontier();
+  // Every timeline's frontier is its frozen limit: P0 and P1 are scanned up
+  // to it, and P2, P3 are not pinned at all.
+  for (ProcId i = 0; i < 4; ++i)
+    EXPECT_EQ(f[static_cast<std::size_t>(i)], 199) << "process " << i;
+  EXPECT_LT(max_resident, 64);
+}
 
 // ---- Residency bounds ----------------------------------------------------------
 

@@ -3,6 +3,11 @@
 // splitting at arbitrary byte boundaries, failure isolation, and metrics.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -12,6 +17,7 @@
 #include "predicate/predicate.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "util/thread_pool.h"
 
 namespace hbct {
 namespace {
@@ -338,6 +344,67 @@ TEST(StreamingService, RecordPostAndFinishConvenience) {
   // Unknown sessions are reported, not asserted on.
   EXPECT_FALSE(svc.post(SessionId{999}, internal_rec(0)));
   EXPECT_FALSE(svc.close(SessionId{999}));
+}
+
+TEST(StreamingService, PostDoesNotWaitBehindAnIngest) {
+  // A stable watch whose evaluation parks the pump in the middle of an
+  // ingest until the test lets it go. post() takes only the inbox mutex, so
+  // it must return while the pump holds the session.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = false;
+    bool entered = false;
+    bool released = false;
+  };
+  const auto gate = std::make_shared<Gate>();
+  ThreadPool pool(2);
+  serve::ServiceOptions opt;
+  opt.pool = &pool;
+  StreamingService svc(opt);
+  const SessionId sid = svc.open(two_proc_cfg(), [gate](OnlineMonitor& m) {
+    m.watch_stable(make_stable(
+        [gate](const Computation&, const Cut&) {
+          std::unique_lock<std::mutex> lk(gate->mu);
+          if (gate->armed && !gate->entered) {
+            gate->entered = true;
+            gate->cv.notify_all();
+            gate->cv.wait(lk, [&] { return gate->released; });
+          }
+          return false;
+        },
+        "gate"));
+  });
+  {
+    std::lock_guard<std::mutex> lk(gate->mu);
+    gate->armed = true;
+  }
+  ASSERT_TRUE(svc.post(sid, enc({procs_rec(2), internal_rec(0)})));
+  bool parked = false;
+  {
+    std::unique_lock<std::mutex> lk(gate->mu);
+    parked = gate->cv.wait_for(lk, std::chrono::seconds(30),
+                               [&] { return gate->entered; });
+  }
+  ASSERT_TRUE(parked) << "the pump never reached the gated evaluation";
+
+  auto posted = std::async(std::launch::async, [&] {
+    return svc.post(sid, enc({internal_rec(1)}));
+  });
+  const bool returned =
+      posted.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lk(gate->mu);
+    gate->released = true;
+  }
+  gate->cv.notify_all();
+  EXPECT_TRUE(returned) << "post() waited for the in-flight ingest";
+  EXPECT_TRUE(posted.get());
+
+  ASSERT_TRUE(svc.finish(sid));
+  svc.drain();
+  EXPECT_EQ(svc.state(sid), SessionState::kFinished) << svc.error(sid);
+  EXPECT_EQ(svc.stats(sid).events, 2);
 }
 
 TEST(StreamingService, MetricsLandInTheTracerRegistry) {

@@ -82,6 +82,10 @@ struct BadTraceCase {
   const char* expect_substr;
 };
 
+// Without a printer gtest dumps the struct's bytes (three pointers) into the
+// listed test name, so the name would change with every address layout.
+void PrintTo(const BadTraceCase& c, std::ostream* os) { *os << c.name; }
+
 class TraceIoErrors : public ::testing::TestWithParam<BadTraceCase> {};
 
 TEST_P(TraceIoErrors, ReportsError) {

@@ -168,6 +168,30 @@ def check_watch(path, name, s, require_met=frozenset()):
                    f" [--require-met-p99]")
 
 
+RELEVANCE_KEYS = {"procs", "watches", "relevant", "relevant_pct", "events",
+                  "ns_per_event", "evals_per_event", "cores", "build_type"}
+
+
+def check_relevance(path, name, s):
+    """The per-row extension of bench_watch's relevance rows: one monitor,
+    `watches` watches of which `relevant` read the process every event
+    lands on."""
+    if s.keys() != RELEVANCE_KEYS:
+        fail(path, f"row {name!r} relevance keys {sorted(s.keys())} != "
+                   f"{sorted(RELEVANCE_KEYS)}")
+    if not isinstance(s["build_type"], str) or not s["build_type"]:
+        fail(path, f"row {name!r} relevance.build_type is not a string")
+    for k in RELEVANCE_KEYS - {"build_type"}:
+        if not isinstance(s[k], (int, float)) or isinstance(s[k], bool):
+            fail(path, f"row {name!r} relevance.{k} is not a number")
+    if s["procs"] <= 0 or s["watches"] <= 0 or s["events"] <= 0:
+        fail(path, f"row {name!r} relevance has no procs/watches/events")
+    if not 0 <= s["relevant"] <= s["watches"]:
+        fail(path, f"row {name!r} relevant watches outside [0, watches]")
+    if s["ns_per_event"] <= 0 or s["cores"] <= 0:
+        fail(path, f"row {name!r} relevance ns_per_event/cores not positive")
+
+
 INGEST_KEYS = {"format", "events", "input_bytes", "rss_delta_kb",
                "events_per_sec", "speedup_vs_text"}
 INGEST_FORMATS = {"text", "btrace", "mtrace-copy", "mtrace-map"}
@@ -220,6 +244,8 @@ def check_bench(path, doc, require_met=frozenset()):
             check_watch(path, row["name"], row["watch"], require_met)
         if "ingest" in row:
             check_ingest(path, row["name"], row["ingest"])
+        if "relevance" in row:
+            check_relevance(path, row["name"], row["relevance"])
     return f"bench ({len(doc['rows'])} rows)"
 
 
