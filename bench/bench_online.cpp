@@ -8,12 +8,13 @@
 namespace hbct {
 namespace {
 
-Computation make_ref(std::int32_t procs, std::int32_t events) {
+Computation make_ref(std::int32_t procs, std::int32_t events,
+                     double p_send = 0.3) {
   GenOptions opt;
   opt.num_procs = procs;
   opt.events_per_proc = events;
   opt.num_vars = 2;
-  opt.p_send = 0.3;
+  opt.p_send = p_send;
   opt.seed = 77;
   return generate_random(opt);
 }
@@ -40,8 +41,14 @@ void stream_into(const Computation& ref, Sink&& sink) {
   }
 }
 
+// Bare append cost per event against the number of processes, on
+// message-heavy traffic (p_send 0.45, random peers). A send or receive adds
+// one channel-log entry whatever the number of active channels, so what
+// grows with the width is the O(n) clock row, which this row (no GC) also
+// keeps resident.
 void BM_online_appender_only(benchmark::State& state) {
-  Computation ref = make_ref(6, static_cast<std::int32_t>(state.range(0)));
+  Computation ref = make_ref(static_cast<std::int32_t>(state.range(0)),
+                             static_cast<std::int32_t>(state.range(1)), 0.45);
   for (auto _ : state) {
     OnlineAppender app(ref.num_procs());
     for (VarId v = 0; v < ref.num_vars(); ++v) app.var(ref.var_name(v));
@@ -50,7 +57,12 @@ void BM_online_appender_only(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * ref.total_events());
 }
-BENCHMARK(BM_online_appender_only)->Arg(64)->Arg(512);
+BENCHMARK(BM_online_appender_only)
+    ->ArgNames({"procs", "events"})
+    ->Args({6, 64})
+    ->Args({6, 512})
+    ->Args({32, 512})
+    ->Args({128, 512});
 
 void BM_online_monitor_with_watches(benchmark::State& state) {
   Computation ref = make_ref(6, static_cast<std::int32_t>(state.range(0)));

@@ -18,7 +18,10 @@
 //
 // The BENCH_watch.json artifact (schema hbct.bench/1) extends each row with
 // a "watch" object validated by tools/check_report.py and diffed by
-// tools/bench_diff.py in CI.
+// tools/bench_diff.py in CI. Service rows record each pass's process CPU
+// time (getrusage: user + system over every thread) beside its wall time:
+// on a shared host the pumps' wall time mostly measures scheduling, so
+// bench_diff compares these rows by CPU time.
 //
 // Stream shape (2 processes): round r sends msg r from P0 (writing x = r)
 // and, once r >= lag, delivers msg r - lag to P1 (writing y = r - lag). The
@@ -38,6 +41,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -322,6 +326,7 @@ BENCHMARK_CAPTURE(BM_watch_class, mixed, "mixed");
 
 struct WatchRow {
   benchio::BenchRow base;
+  Summary cpu_ns;  // per-pass process CPU time, beside base.ns (wall)
   WatchPlan plan;
   WatchOutcome outcome;
   std::uint64_t fire_p50_ns = 0;
@@ -341,9 +346,33 @@ void fill_latency(WatchRow& row, const RawLatency& raw) {
   row.fire_p99_ns = percentile_ns(s, 0.99);
 }
 
+/// Process CPU time so far (user + system, all threads), nanoseconds.
+double process_cpu_ns() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto ns = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e9 +
+           static_cast<double>(t.tv_usec) * 1e3;
+  };
+  return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+/// One timed pass: appends its wall and process CPU time to the samples.
+void timed_pass(const WatchPlan& plan, const std::vector<std::string>& chunks,
+                WatchRow& row, RawLatency& raw, std::vector<double>& wall,
+                std::vector<double>& cpu) {
+  const double c0 = process_cpu_ns();
+  const auto t0 = std::chrono::steady_clock::now();
+  run_watches(plan, chunks, &row.outcome, &raw);
+  const auto t1 = std::chrono::steady_clock::now();
+  cpu.push_back(process_cpu_ns() - c0);
+  wall.push_back(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
+}
+
 /// One measured row: a pinned warm-up pass (cold-path fires and lazy
 /// statics excluded from the samples), then `iters` passes accumulating
-/// wall times and raw fire latencies.
+/// wall and CPU times and raw fire latencies.
 WatchRow measure_row(const char* name, const char* label,
                      const WatchPlan& plan,
                      const std::vector<std::string>& chunks, int iters) {
@@ -353,16 +382,10 @@ WatchRow measure_row(const char* name, const char* label,
   row.plan = plan;
   run_watches(plan, chunks, nullptr);  // warm-up, discarded
   RawLatency raw;
-  std::vector<double> ns;
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run_watches(plan, chunks, &row.outcome, &raw);
-    const auto t1 = std::chrono::steady_clock::now();
-    ns.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  }
-  row.base.ns = Summary::of(std::move(ns));
+  std::vector<double> wall, cpu;
+  for (int i = 0; i < iters; ++i) timed_pass(plan, chunks, row, raw, wall, cpu);
+  row.base.ns = Summary::of(std::move(wall));
+  row.cpu_ns = Summary::of(std::move(cpu));
   fill_latency(row, raw);
   return row;
 }
@@ -385,22 +408,15 @@ std::pair<WatchRow, WatchRow> measure_ab(
   run_watches(plan_a, chunks, nullptr);  // warm-up, both sides, discarded
   run_watches(plan_b, chunks, nullptr);
   RawLatency raw_a, raw_b;
-  std::vector<double> ns_a, ns_b;
+  std::vector<double> wall_a, wall_b, cpu_a, cpu_b;
   for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run_watches(plan_a, chunks, &a.outcome, &raw_a);
-    const auto t1 = std::chrono::steady_clock::now();
-    run_watches(plan_b, chunks, &b.outcome, &raw_b);
-    const auto t2 = std::chrono::steady_clock::now();
-    ns_a.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-    ns_b.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-            .count()));
+    timed_pass(plan_a, chunks, a, raw_a, wall_a, cpu_a);
+    timed_pass(plan_b, chunks, b, raw_b, wall_b, cpu_b);
   }
-  a.base.ns = Summary::of(std::move(ns_a));
-  b.base.ns = Summary::of(std::move(ns_b));
+  a.base.ns = Summary::of(std::move(wall_a));
+  b.base.ns = Summary::of(std::move(wall_b));
+  a.cpu_ns = Summary::of(std::move(cpu_a));
+  b.cpu_ns = Summary::of(std::move(cpu_b));
   fill_latency(a, raw_a);
   fill_latency(b, raw_b);
   return {std::move(a), std::move(b)};
@@ -598,6 +614,8 @@ bool emit_watch_json(const char* path) {
     w.kv("met_p99", r.fire_p99_ns <= kP99TargetNs);
     w.kv("recorder", r.plan.recorder);
     w.kv("until_inc", r.plan.until_inc);
+    w.key("cpu_ns");
+    benchio::write_summary(w, r.cpu_ns);
     w.end_object();
     w.end_object();
   }

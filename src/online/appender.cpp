@@ -33,8 +33,8 @@ OnlineAppender::OnlineAppender(std::int32_t num_procs) {
   c_.vclocks_.resize(n);
   c_.initial_.resize(n);
   c_.values_.resize(n);
-  c_.sends_to_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  c_.recvs_from_.assign(n, std::vector<std::vector<std::int32_t>>(n));
+  c_.sends_.resize(n * n);
+  c_.recvs_.resize(n * n);
   c_.rvcache_.dirty.store(true, std::memory_order_release);
 }
 
@@ -69,49 +69,41 @@ void OnlineAppender::set_initial(ProcId i, VarId v, std::int64_t value) {
   HBCT_ASSERT_MSG(e == AppendError::kNone, to_string(e));
 }
 
-EventId OnlineAppender::append(ProcId i, Event ev, const VClock* extra) {
+EventId OnlineAppender::append(ProcId i, Event ev,
+                               const std::int32_t* merge_row) {
   HBCT_ASSERT(i >= 0 && i < c_.num_procs());
   const std::size_t n = c_.procs_.size();
   auto& list = c_.procs_[sz(i)];
-
-  // Forward vector clock, seeded from the last arena row of process i (the
-  // boundary row of a collected prefix counts: it is the clock of the
-  // newest reclaimed event).
-  VClock vc(n);
-  auto& arena = c_.vclocks_[sz(i)];
-  if (!arena.empty()) {
-    const std::int32_t* prev = arena.data() + (arena.size() - n);
-    for (std::size_t j = 0; j < n; ++j) vc[j] = prev[j];
-  }
-  if (extra) vc.merge(*extra);
   const EventIndex idx =
       c_.trimmed(i) + static_cast<EventIndex>(list.size()) + 1;
-  vc[sz(i)] = idx;
 
-  // Channel prefix counters: every existing table of process i grows by
-  // one; the affected channel's tail is bumped below.
-  for (std::size_t j = 0; j < n; ++j) {
-    auto& st = c_.sends_to_[sz(i)][j];
-    if (!st.empty()) st.push_back(st.back());
-    auto& rt = c_.recvs_from_[sz(i)][j];
-    if (!rt.empty()) rt.push_back(rt.back());
-  }
+  // Forward vector clock, written straight into process i's arena: a copy
+  // of the previous row (the boundary row of a collected prefix counts: it
+  // is the clock of the newest reclaimed event), merged with the send's
+  // clock on a receive. `merge_row` never points into this arena — the
+  // sender is another process — so growing the arena cannot move it.
+  auto& arena = c_.vclocks_[sz(i)];
+  const std::size_t at = arena.size();
+  arena.resize(at + n);
+  std::int32_t* row = arena.data() + at;
+  if (at != 0) std::copy_n(row - n, n, row);
+  if (merge_row != nullptr)
+    for (std::size_t j = 0; j < n; ++j) row[j] = std::max(row[j], merge_row[j]);
+  row[sz(i)] = idx;
+
+  // One channel-log entry for a send or receive; every other log of
+  // process i is untouched.
   if (ev.kind == EventKind::kSend) {
-    auto& st = c_.sends_to_[sz(i)][sz(ev.peer)];
-    if (st.empty()) st.assign(list.size() + 2, 0);
-    ++st.back();
+    c_.sends_[c_.channel_slot(i, ev.peer)].pos.push_back(idx);
     ++c_.num_messages_;
   } else if (ev.kind == EventKind::kReceive) {
-    auto& rt = c_.recvs_from_[sz(i)][sz(ev.peer)];
-    if (rt.empty()) rt.assign(list.size() + 2, 0);
-    ++rt.back();
+    c_.recvs_[c_.channel_slot(i, ev.peer)].pos.push_back(idx);
   }
 
   // Variable timelines carry the previous value forward.
   for (auto& timeline : c_.values_[sz(i)]) timeline.push_back(timeline.back());
 
   list.push_back(std::move(ev));
-  arena.insert(arena.end(), vc.raw().begin(), vc.raw().end());
   const EventId id{i, idx};
   c_.linearization_.push_back(id);
   ++c_.total_events_;
@@ -143,7 +135,7 @@ AppendError OnlineAppender::try_send(ProcId from, ProcId to, MsgId* out) {
   ev.peer = to;
   ev.msg = m;
   const EventId id = append(from, std::move(ev), nullptr);
-  in_flight_.emplace(m, PendingMsg{from, to, id.index, VClock(), false});
+  in_flight_.emplace(m, PendingMsg{from, to, id.index, {}});
   if (out) *out = m;
   return AppendError::kNone;
 }
@@ -166,15 +158,15 @@ AppendError OnlineAppender::try_receive(ProcId to, MsgId m, EventId* out) {
   ev.kind = EventKind::kReceive;
   ev.peer = it->second.src;
   ev.msg = m;
-  // Materialize the send clock: append() grows process `to`'s arena, and
-  // collect_prefix may already have reclaimed the source row (in which case
-  // the pending entry carries an owned copy).
-  const VClock send_vc =
-      it->second.clock_valid
-          ? std::move(it->second.clock)
-          : VClock(c_.vclock(it->second.src, it->second.send_index));
+  // The send's clock is its row in the sender's arena, which append() does
+  // not grow (self-messages are rejected), or the owned copy collect_prefix
+  // made when it reclaimed that row.
+  const PendingMsg& pm = it->second;
+  const std::int32_t* send_row =
+      pm.clock.empty() ? c_.vclock(pm.src, pm.send_index).data()
+                       : pm.clock.data();
+  const EventId id = append(to, std::move(ev), send_row);
   in_flight_.erase(it);
-  const EventId id = append(to, std::move(ev), &send_vc);
   if (out) *out = id;
   return AppendError::kNone;
 }
@@ -225,11 +217,8 @@ std::int64_t OnlineAppender::collect_prefix(const Cut& keep_from) {
   // of their clock for the eventual receive's merge.
   for (auto& [m, pm] : in_flight_) {
     (void)m;
-    if (pm.clock_valid) continue;
-    if (pm.send_index < keep_from[sz(pm.src)]) {
-      pm.clock = VClock(c_.vclock(pm.src, pm.send_index));
-      pm.clock_valid = true;
-    }
+    if (pm.clock.empty() && pm.send_index < keep_from[sz(pm.src)])
+      pm.clock = c_.vclock(pm.src, pm.send_index).raw();
   }
 
   for (ProcId pi = 0; pi < c_.num_procs(); ++pi) {
@@ -249,10 +238,8 @@ std::int64_t OnlineAppender::collect_prefix(const Cut& keep_from) {
                                     sz(new_t - old_base) * n));
     for (auto& tl : c_.values_[i]) tl.erase(tl.begin(), tl.begin() + d);
     for (std::size_t j = 0; j < n; ++j) {
-      auto& st = c_.sends_to_[i][j];
-      if (!st.empty()) st.erase(st.begin(), st.begin() + d);
-      auto& rt = c_.recvs_from_[i][j];
-      if (!rt.empty()) rt.erase(rt.begin(), rt.begin() + d);
+      c_.sends_[i * n + j].drop_through(new_t);
+      c_.recvs_[i * n + j].drop_through(new_t);
     }
     c_.trim_[i] = new_t;
   }

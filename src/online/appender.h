@@ -4,9 +4,12 @@
 // algorithms" as future work; this module is the substrate for that: a
 // Computation that grows one event at a time while keeping every
 // append-friendly table (forward vector clocks, variable timelines,
-// channel prefix counters, linearization) valid after each event, in O(n)
-// amortized per event. Reverse vector clocks depend on the future and are
-// recomputed lazily by Computation when an offline-style query needs them.
+// channel logs, linearization) valid after each event, in O(n + vars)
+// amortized per event: the clock row is written in place into the
+// process's arena and a send or receive adds one channel-log entry, so the
+// cost does not grow with the number of active channels. Reverse vector
+// clocks depend on the future and are recomputed lazily by Computation
+// when an offline-style query needs them.
 //
 // Two feed surfaces share one implementation:
 //   - the unchecked methods (internal/send/receive/...) assert on misuse,
@@ -17,7 +20,7 @@
 //
 // Prefix garbage collection: collect_prefix(cut) discards the storage of
 // every event at or below a consistent cut — payloads, vector-clock rows,
-// variable-timeline entries and channel prefix counters — keeping resident
+// variable-timeline entries and channel-log entries — keeping resident
 // memory proportional to the open frontier rather than the stream length.
 // Indices stay absolute; the underlying Computation records the trim offset
 // per process (Computation::trimmed).
@@ -98,7 +101,9 @@ class OnlineAppender {
   Cut current_cut() const { return c_.final_cut(); }
 
  private:
-  EventId append(ProcId i, Event ev, const VClock* extra);
+  /// Appends `ev` to process i; `merge_row` (a receive's send clock, never
+  /// a row of process i's arena) is merged into the new clock row.
+  EventId append(ProcId i, Event ev, const std::int32_t* merge_row);
 
   /// Bookkeeping for a sent-but-not-yet-received message. The map holds
   /// only in-flight messages (receives erase their entry), so message
@@ -108,9 +113,9 @@ class OnlineAppender {
     ProcId dst = -1;
     EventIndex send_index = 0;
     /// Owned copy of the send's clock, filled by collect_prefix when the
-    /// arena row it would be read from is about to be reclaimed.
-    VClock clock;
-    bool clock_valid = false;
+    /// arena row it would be read from is about to be reclaimed; empty
+    /// while that row is resident.
+    std::vector<std::int32_t> clock;
   };
 
   Computation c_;

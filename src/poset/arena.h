@@ -121,8 +121,8 @@ class TimelineView {
 /// `backing` (an mmap'ed region or an owned copy of the file bytes), so the
 /// arena owns no event data itself. All per-process tables are indexed by
 /// ProcId; channel tables are dense n*n pointer matrices where nullptr
-/// marks an inactive channel (mirroring the empty-inner-vector convention
-/// of owning computations).
+/// marks an inactive channel (owning computations keep a sparse log per
+/// channel side instead; Computation::channel_prefix expands one).
 struct MappedArena {
   /// Keeps the mapped/owned bytes alive; the deleter unmaps or frees.
   std::shared_ptr<const void> backing;

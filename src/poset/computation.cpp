@@ -366,32 +366,52 @@ void Computation::finalize() {
     }
   }
 
-  // --- Channel prefix counters.
-  sends_to_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  recvs_from_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  for (std::size_t i = 0; i < n; ++i) {
+  // --- Channel logs: one pass counts each log's entries so the second
+  // fills exact-size logs, O(|E| + n^2) in total.
+  std::vector<std::int32_t> send_count(n * n, 0), recv_count(n * n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const Event& ev : procs_[i]) {
+      if (ev.kind == EventKind::kSend) ++send_count[i * n + sz(ev.peer)];
+      if (ev.kind == EventKind::kReceive) ++recv_count[i * n + sz(ev.peer)];
+    }
+  sends_.assign(n * n, {});
+  recvs_.assign(n * n, {});
+  for (std::size_t s = 0; s < n * n; ++s) {
+    sends_[s].pos.reserve(sz(send_count[s]));
+    recvs_[s].pos.reserve(sz(recv_count[s]));
+  }
+  for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < procs_[i].size(); ++k) {
       const Event& ev = procs_[i][k];
-      if (ev.kind == EventKind::kSend) {
-        auto& tab = sends_to_[i][sz(ev.peer)];
-        if (tab.empty()) tab.assign(procs_[i].size() + 1, 0);
-      } else if (ev.kind == EventKind::kReceive) {
-        auto& tab = recvs_from_[i][sz(ev.peer)];
-        if (tab.empty()) tab.assign(procs_[i].size() + 1, 0);
-      }
+      const auto at = static_cast<EventIndex>(k + 1);
+      if (ev.kind == EventKind::kSend)
+        sends_[i * n + sz(ev.peer)].pos.push_back(at);
+      if (ev.kind == EventKind::kReceive)
+        recvs_[i * n + sz(ev.peer)].pos.push_back(at);
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      auto fill = [&](std::vector<std::int32_t>& tab, EventKind kind) {
-        if (tab.empty()) return;
-        for (std::size_t k = 0; k < procs_[i].size(); ++k) {
-          const Event& ev = procs_[i][k];
-          tab[k + 1] = tab[k] + ((ev.kind == kind && sz(ev.peer) == j) ? 1 : 0);
-        }
-      };
-      fill(sends_to_[i][j], EventKind::kSend);
-      fill(recvs_from_[i][j], EventKind::kReceive);
-    }
+}
+
+void Computation::channel_prefix(ProcId owner, ProcId peer, bool sends,
+                                 std::vector<std::int32_t>* out) const {
+  const std::size_t cnt = sz(num_events(owner));
+  out->assign(cnt + 1, 0);
+  if (arena_) {
+    const std::int32_t* t =
+        arena_channel(sends ? arena_->sends : arena_->recvs, owner, peer);
+    if (t != nullptr) std::copy(t, t + cnt + 1, out->begin());
+    return;
   }
+  HBCT_ASSERT_MSG(trimmed(owner) == 0,
+                  "channel_prefix needs the owner's whole history");
+  const ChannelLog& log = (sends ? sends_ : recvs_)[channel_slot(owner, peer)];
+  // Walk the log once: between consecutive entries the count is flat.
+  std::int32_t count = 0;
+  std::size_t k = 1;
+  for (const EventIndex at : log.pos) {
+    for (; k < sz(at); ++k) (*out)[k] = count;
+    (*out)[k++] = ++count;
+  }
+  for (; k <= cnt; ++k) (*out)[k] = count;
 }
 
 void Computation::compute_rvclocks() const {

@@ -4,19 +4,23 @@
 //
 // The structure is finalized once (by ComputationBuilder) and then read-only:
 // vector clocks, reverse vector clocks, per-variable state timelines and
-// channel prefix counters are all precomputed so that the predicate
+// per-channel send/receive logs are all precomputed so that the predicate
 // detectors' inner loops are O(n) or O(1) per step, matching the cost model
 // used in the paper's complexity claims.
 //
 // Two storage modes share one interface:
-//   owning  the builder/online path: per-event vectors plus flat clock and
-//           timeline arenas computed by finalize().
+//   owning  the builder/online path: per-event vectors, flat clock and
+//           timeline arenas, and one sparse log per channel side (the
+//           positions of its sends or receives), computed by finalize() or
+//           grown one event at a time by OnlineAppender in O(n) per event,
+//           independent of how many channels are active.
 //   view    zero-copy over a MappedArena (poset/arena.h): every accessor
 //           reads straight from the mapped hbct-mtrace sections. Loading is
 //           O(procs + vars) allocations; event() is unavailable (payloads
 //           are packed) — use event_view(), which works in both modes.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -72,9 +76,10 @@ class Computation {
 
   /// Events of process i whose storage was reclaimed: positions 1..trimmed(i)
   /// are no longer resident (payloads, clock rows, timeline entries and
-  /// channel counters below the trim cut are gone). All public indices stay
-  /// absolute — accessors subtract the offset internally — but reading a
-  /// reclaimed position is an error. 0 on every builder-produced computation.
+  /// channel-log entries below the trim cut are gone). All public indices
+  /// stay absolute — accessors subtract the offset internally — but reading
+  /// a reclaimed position is an error. 0 on every builder-produced
+  /// computation.
   EventIndex trimmed(ProcId i) const {
     return trim_.empty() ? 0 : trim_[static_cast<std::size_t>(i)];
   }
@@ -160,38 +165,40 @@ class Computation {
   /// True when any message was ever sent from `from` to `to`.
   bool channel_active(ProcId from, ProcId to) const {
     if (arena_) return arena_channel(arena_->sends, from, to) != nullptr;
-    return !sends_to_[static_cast<std::size_t>(from)]
-                     [static_cast<std::size_t>(to)]
-                         .empty();
+    return sends_[channel_slot(from, to)].active();
   }
   /// Messages sent from `from` to `to` among the first `pos` events of
-  /// `from`. Unlike in_transit() this is a plain prefix-counter read with no
+  /// `from`. Unlike in_transit() this is a plain prefix-count read with no
   /// consistency requirement, so incremental evaluators may call it on cuts
-  /// that are transiently inconsistent mid-seek.
+  /// that are transiently inconsistent mid-seek. O(1) at or past the newest
+  /// send (the online case), O(log sends) below it in owning mode.
   std::int32_t sends_up_to(ProcId from, ProcId to, EventIndex pos) const {
     if (arena_) {
       const std::int32_t* t = arena_channel(arena_->sends, from, to);
       return t == nullptr ? 0 : t[static_cast<std::size_t>(pos)];
     }
-    const auto& t = sends_to_[static_cast<std::size_t>(from)]
-                             [static_cast<std::size_t>(to)];
-    if (t.empty()) return 0;
-    HBCT_DASSERT(pos >= trimmed(from));
-    return t[static_cast<std::size_t>(pos - trimmed(from))];
+    const ChannelLog& log = sends_[channel_slot(from, to)];
+    HBCT_DASSERT(!log.active() || pos >= trimmed(from));
+    return log.up_to(pos);
   }
   /// Messages received at `to` from `from` among the first `pos` events of
-  /// `to`.
+  /// `to`. Same cost as sends_up_to().
   std::int32_t recvs_up_to(ProcId to, ProcId from, EventIndex pos) const {
     if (arena_) {
       const std::int32_t* t = arena_channel(arena_->recvs, to, from);
       return t == nullptr ? 0 : t[static_cast<std::size_t>(pos)];
     }
-    const auto& t = recvs_from_[static_cast<std::size_t>(to)]
-                               [static_cast<std::size_t>(from)];
-    if (t.empty()) return 0;
-    HBCT_DASSERT(pos >= trimmed(to));
-    return t[static_cast<std::size_t>(pos - trimmed(to))];
+    const ChannelLog& log = recvs_[channel_slot(to, from)];
+    HBCT_DASSERT(!log.active() || pos >= trimmed(to));
+    return log.up_to(pos);
   }
+
+  /// The dense prefix-count table of one channel side, in one linear walk:
+  /// (*out)[k] = sends_up_to(owner, peer, k) (`sends`) or
+  /// recvs_up_to(owner, peer, k) (!`sends`) for k in [0, num_events(owner)].
+  /// This is the hbct-mtrace on-disk layout; needs an untrimmed owner.
+  void channel_prefix(ProcId owner, ProcId peer, bool sends,
+                      std::vector<std::int32_t>* out) const;
 
   // ---- Cut geometry --------------------------------------------------------
 
@@ -277,6 +284,38 @@ class Computation {
              static_cast<std::size_t>(peer)];
   }
 
+  /// Index of channel (owner, peer) in the flat n*n log vectors.
+  std::size_t channel_slot(ProcId owner, ProcId peer) const {
+    return static_cast<std::size_t>(owner) * procs_.size() +
+           static_cast<std::size_t>(peer);
+  }
+
+  /// One side of one channel in owning mode: the ascending absolute
+  /// positions (1-based indices on the owning process) of the channel's
+  /// sends, or of its receives, plus the number of entries prefix GC
+  /// reclaimed. An append pushes at most one entry, so the cost per event
+  /// does not grow with the number of active channels.
+  struct ChannelLog {
+    std::vector<EventIndex> pos;
+    std::int32_t trimmed = 0;
+
+    bool active() const { return trimmed != 0 || !pos.empty(); }
+    /// Entries at positions <= p; p must not lie below a GC trim cut.
+    std::int32_t up_to(EventIndex p) const {
+      const auto resident = static_cast<std::int32_t>(pos.size());
+      if (resident == 0 || pos.back() <= p) return trimmed + resident;
+      return trimmed + static_cast<std::int32_t>(
+                           std::upper_bound(pos.begin(), pos.end(), p) -
+                           pos.begin());
+    }
+    /// Reclaims the entries at positions <= p (a GC trim cut).
+    void drop_through(EventIndex p) {
+      const auto end = std::upper_bound(pos.begin(), pos.end(), p);
+      trimmed += static_cast<std::int32_t>(end - pos.begin());
+      pos.erase(pos.begin(), end);
+    }
+  };
+
   /// Absolute index of the first retained vclock arena row of process i.
   /// After a trim one boundary row (the clock of event trimmed(i)) is kept
   /// so consistency tests and online clock seeding keep working at the trim
@@ -320,7 +359,7 @@ class Computation {
   /// View-mode backing; non-null puts the accessors on their arena
   /// branches. procs_ is still resized to nprocs (with empty inner vectors)
   /// so num_procs() and the geometry code shares one shape; vclocks_,
-  /// values_, initial_ and the channel tables stay empty.
+  /// values_, initial_ and the channel logs stay empty.
   MappedArenaPtr arena_;
 
   std::vector<std::vector<Event>> procs_;
@@ -338,11 +377,11 @@ class Computation {
   /// initial_[i][v]
   std::vector<std::vector<std::int64_t>> initial_;
 
-  /// sends_to_[i][j][k] = #sends from i to j among the first k events of i.
-  /// Empty inner vector = no traffic on that channel.
-  std::vector<std::vector<std::vector<std::int32_t>>> sends_to_;
-  /// recvs_from_[j][i][k] = #receives at j from i among the first k events.
-  std::vector<std::vector<std::vector<std::int32_t>>> recvs_from_;
+  /// sends_[channel_slot(i, j)]: positions of i's sends to j. An inactive
+  /// log means no traffic on that channel.
+  std::vector<ChannelLog> sends_;
+  /// recvs_[channel_slot(j, i)]: positions of j's receives from i.
+  std::vector<ChannelLog> recvs_;
 
   std::int64_t total_events_ = 0;
   std::int64_t num_messages_ = 0;

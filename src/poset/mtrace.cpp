@@ -294,12 +294,7 @@ void write_mtrace(std::ostream& os, const Computation& c) {
     const std::uint32_t head[4] = {ch.dir, static_cast<std::uint32_t>(ch.owner),
                                    static_cast<std::uint32_t>(ch.peer), 0};
     out.write(head, sizeof(head));
-    const EventIndex cnt = c.num_events(ch.owner);
-    prefix.assign(static_cast<std::size_t>(cnt) + 1, 0);
-    for (EventIndex k = 0; k <= cnt; ++k)
-      prefix[static_cast<std::size_t>(k)] =
-          ch.dir == 0 ? c.sends_up_to(ch.owner, ch.peer, k)
-                      : c.recvs_up_to(ch.owner, ch.peer, k);
+    c.channel_prefix(ch.owner, ch.peer, /*sends=*/ch.dir == 0, &prefix);
     out.write(prefix.data(), 4u * prefix.size());
   }
 

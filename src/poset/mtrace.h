@@ -5,7 +5,9 @@
 // parsing and O(|E|) allocations. mtrace instead stores the computation in
 // its in-memory arena layout: fixed-width packed events, the stride-n
 // vector-clock table, variable timelines and channel prefix counters, each
-// in its own 8-aligned section. Loading is a validation scan plus pointer
+// in its own 8-aligned section. (Owning computations keep sparse channel
+// logs instead of prefix tables; the writer expands each log into its
+// dense table in one linear walk.) Loading is a validation scan plus pointer
 // arithmetic; the resulting Computation is a zero-copy *view* borrowing
 // from the mapping (Computation::is_view(), poset/arena.h) and performs
 // O(procs + vars) heap allocations regardless of event count.

@@ -6,8 +6,8 @@
 // For events we use the cheaper process-local test (see Computation).
 //
 // Two representations share the comparison algebra:
-//   VClock      owns its components (builders, the online appender's
-//               working clocks, tests).
+//   VClock      owns its components (the builder's and the reverse-clock
+//               pass's working clocks, tests).
 //   VClockView  a non-owning {pointer, size} over a row of Computation's
 //               contiguous stride-n clock arena. leq/merge over the flat
 //               storage compile to branch-light loops the optimizer can
@@ -90,7 +90,6 @@ class VClock {
   VClock() = default;
   explicit VClock(std::size_t n) : c_(n, 0) {}
   explicit VClock(std::vector<std::int32_t> c) : c_(std::move(c)) {}
-  explicit VClock(VClockView v) : c_(v.raw()) {}
 
   std::size_t size() const { return c_.size(); }
   std::int32_t operator[](std::size_t i) const { return c_[i]; }

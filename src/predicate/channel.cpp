@@ -1,5 +1,7 @@
 #include "predicate/channel.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 #include "util/string_util.h"
 
@@ -7,10 +9,24 @@ namespace hbct {
 
 namespace {
 
+/// The event a one-event move of process i crossed: the entered event when
+/// advancing, the left one when retreating. `delta` receives +1 or -1.
+/// Returns false for a multi-event move (or none), which the cursors
+/// resolve with prefix-count reads instead.
+bool crossed_event(const EvalCursor& cur, ProcId i, EventIndex old_pos,
+                   EventView* ev, std::int32_t* delta) {
+  const EventIndex pos = cur.cut()[static_cast<std::size_t>(i)];
+  if (pos - old_pos != 1 && old_pos - pos != 1) return false;
+  *ev = cur.comp().event_view(i, std::max(pos, old_pos));
+  *delta = pos > old_pos ? 1 : -1;
+  return true;
+}
+
 /// Incremental in-transit count for one channel: caches the sender's send
-/// count and the receiver's receive count via the prefix-counter reads
-/// (sends_up_to / recvs_up_to), which are safe on transiently inconsistent
-/// cuts where in_transit() itself is not.
+/// count and the receiver's receive count. A one-event move adjusts them by
+/// the crossed event's kind and peer in O(1); longer jumps re-read the
+/// prefix counts (sends_up_to / recvs_up_to), which are safe on
+/// transiently inconsistent cuts where in_transit() itself is not.
 class ChannelBoundCursor final : public EvalCursor {
  public:
   ChannelBoundCursor(const Computation& c, const Cut& g, ProcId from,
@@ -23,7 +39,17 @@ class ChannelBoundCursor final : public EvalCursor {
         sent_(c.sends_up_to(from, to, g[static_cast<std::size_t>(from)])),
         rcvd_(c.recvs_up_to(to, from, g[static_cast<std::size_t>(to)])) {}
 
-  void on_update(ProcId i, EventIndex) override {
+  void on_update(ProcId i, EventIndex old_pos) override {
+    if (i != from_ && i != to_) return;
+    EventView ev;
+    std::int32_t delta = 0;
+    if (crossed_event(*this, i, old_pos, &ev, &delta)) {
+      if (i == from_ && ev.kind == EventKind::kSend && ev.peer == to_)
+        sent_ += delta;
+      if (i == to_ && ev.kind == EventKind::kReceive && ev.peer == from_)
+        rcvd_ += delta;
+      return;
+    }
     const EventIndex pos = cut()[static_cast<std::size_t>(i)];
     if (i == from_) sent_ = comp().sends_up_to(from_, to_, pos);
     if (i == to_) rcvd_ = comp().recvs_up_to(to_, from_, pos);
@@ -41,10 +67,11 @@ class ChannelBoundCursor final : public EvalCursor {
   std::int32_t sent_, rcvd_;
 };
 
-/// Incremental total in-transit count across all active channels. A step on
-/// process i adjusts i's send contribution on every channel i sends on and
-/// i's receive contribution on every channel i receives on: O(n) per step
-/// instead of the O(n^2) full rescan of in_transit_total().
+/// Incremental total in-transit count across all active channels. A
+/// one-event move of process i changes the total by the crossed event alone
+/// (a send adds one message in transit, a receive removes one): O(1). A
+/// longer jump re-reads i's send and receive counts on every channel it
+/// uses: O(n) reads instead of the O(n^2) rescan of in_transit_total().
 class AllChannelsEmptyCursor final : public EvalCursor {
  public:
   AllChannelsEmptyCursor(const Computation& c, const Cut& g)
@@ -61,6 +88,13 @@ class AllChannelsEmptyCursor final : public EvalCursor {
   }
 
   void on_update(ProcId i, EventIndex old_pos) override {
+    EventView ev;
+    std::int32_t delta = 0;
+    if (crossed_event(*this, i, old_pos, &ev, &delta)) {
+      if (ev.kind == EventKind::kSend) total_ += delta;
+      if (ev.kind == EventKind::kReceive) total_ -= delta;
+      return;
+    }
     const Computation& c = comp();
     const EventIndex pos = cut()[static_cast<std::size_t>(i)];
     const ProcId n = c.num_procs();

@@ -12,7 +12,8 @@
 //     false/true count: O(1) per component update;
 //   * relational sums and differences — a running signed sum over the
 //     precomputed variable timelines: O(terms on the moved process);
-//   * channel bounds — cached send/receive prefix counters: O(1);
+//   * channel bounds — cached send/receive counts, moved by the crossed
+//     event: O(1) per one-event step;
 //   * and / or — updates forwarded to all children, truth short-circuited
 //     lazily in value(): O(children) per update;
 //   * everything else — a scratch fallback that re-runs Predicate::eval,

@@ -1,5 +1,9 @@
 #include "serve/service.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <chrono>
 #include <utility>
 
@@ -15,6 +19,17 @@ namespace {
 std::int32_t default_shards() {
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<std::int32_t>(hw < 4 ? 4 : hw);
+}
+
+/// Returns free heap pages to the OS. glibc keeps memory freed by a closed
+/// session in the per-thread arenas of whichever pool threads grew its
+/// buffers, and keeps more once any large block freed in the process has
+/// raised its dynamic trim threshold; without this, an idle service's
+/// resident size varies from run to run with thread scheduling.
+void release_free_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -242,6 +257,9 @@ bool StreamingService::close(SessionId sid) {
   }
   closed_->add(1);
   open_sessions_->add(-1);
+  // Frees the session now unless a pump task still holds it.
+  e.reset();
+  if (num_sessions() == 0) release_free_heap();
   return true;
 }
 

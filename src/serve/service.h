@@ -85,7 +85,10 @@ class StreamingService {
   SessionState state(SessionId sid) const;
   /// For failed sessions: the reason. Empty otherwise (or if absent).
   std::string error(SessionId sid) const;
-  /// Removes the session; false if absent.
+  /// Removes the session; false if absent. When this leaves the service
+  /// with no open sessions, the heap memory the closed sessions freed is
+  /// handed back to the OS (glibc's malloc_trim), so an idle service's
+  /// resident size does not depend on the allocator's history.
   bool close(SessionId sid);
 
   std::size_t num_sessions() const;

@@ -4,10 +4,14 @@
 Usage: bench_diff.py BASELINE.json CURRENT.json [--threshold 0.10]
 
 Compares per-cell median wall-clock times and prints a table of deltas.
-Cells whose median regressed by more than the threshold (default 10%) are
-flagged with "WARN". The exit code is always 0: benchmark noise on shared
-CI runners makes a hard gate flaky, so this is a visibility tool — the
-committed baselines are refreshed deliberately, not by CI.
+bench_watch's service rows carry per-pass process CPU time (watch.cpu_ns);
+when both files have it, those cells are compared by CPU time instead and
+marked "cpu", because their wall time mostly measures the host's
+scheduling of the pump threads. Cells whose median regressed by more than
+the threshold (default 10%) are flagged with "WARN". The exit code is
+always 0: benchmark noise on shared CI runners makes a hard gate flaky, so
+this is a visibility tool — the committed baselines are refreshed
+deliberately, not by CI.
 """
 
 import argparse
@@ -21,6 +25,13 @@ def load_rows(path):
     if doc.get("schema") != "hbct.bench/1":
         sys.exit(f"{path}: not an hbct.bench/1 file")
     return doc.get("bench", "?"), {r["name"]: r for r in doc.get("rows", [])}
+
+
+def cpu_median(row):
+    """Median per-pass process CPU time of a bench_watch service row, or
+    None for rows that only carry wall time."""
+    cpu = row.get("watch", {}).get("cpu_ns")
+    return cpu["median"] if cpu else None
 
 
 def main():
@@ -52,9 +63,13 @@ def main():
             continue
         b = base[name]["ns"]["median"]
         c = cur[name]["ns"]["median"]
+        clock = ""
+        if cpu_median(base[name]) and cpu_median(cur[name]):
+            b, c, clock = cpu_median(base[name]), cpu_median(cur[name]), " cpu"
         delta = (c - b) / b if b else 0.0
         flag = "  WARN: regression" if delta > args.threshold else ""
-        print(f"{name:<{width}}  {b:>12.0f}  {c:>12.0f}  {delta:>+7.1%}{flag}")
+        print(f"{name:<{width}}  {b:>12.0f}  {c:>12.0f}  {delta:>+7.1%}"
+              f"{clock}{flag}")
         if delta > args.threshold:
             warnings += 1
     if warnings:

@@ -127,7 +127,7 @@ def check_streaming(path, name, s):
 WATCH_KEYS = {"class", "sessions", "watches", "events",
               "watch_evals_per_sec", "fires", "fire_p50_ns", "fire_p99_ns",
               "fire_samples", "p99_target_ns", "met_p99", "recorder",
-              "until_inc"}
+              "until_inc", "cpu_ns"}
 WATCH_CLASSES = {"conjunctive", "disjunctive", "invariant", "stable",
                  "channel", "relational", "until", "mixed"}
 
@@ -147,9 +147,15 @@ def check_watch(path, name, s, require_met=frozenset()):
     for k in ("met_p99", "recorder", "until_inc"):
         if not isinstance(s[k], bool):
             fail(path, f"row {name!r} watch.{k} is not a bool")
-    for k in WATCH_KEYS - {"class", "met_p99", "recorder", "until_inc"}:
+    for k in WATCH_KEYS - {"class", "met_p99", "recorder", "until_inc",
+                           "cpu_ns"}:
         if not isinstance(s[k], (int, float)) or isinstance(s[k], bool):
             fail(path, f"row {name!r} watch.{k} is not a number")
+    # Per-pass process CPU time (getrusage, every thread), the figure
+    # bench_diff compares these rows by.
+    check_summary(path, name, s["cpu_ns"], "watch.cpu_ns")
+    if s["cpu_ns"]["median"] <= 0:
+        fail(path, f"row {name!r} watch.cpu_ns median not positive")
     if s["sessions"] <= 0 or s["watches"] <= 0 or s["events"] <= 0:
         fail(path, f"row {name!r} watch has no sessions/watches/events")
     if s["watch_evals_per_sec"] <= 0:
@@ -222,6 +228,16 @@ def check_ingest(path, name, s):
         fail(path, f"row {name!r} zero-copy load slower than the text parse")
 
 
+def check_summary(path, name, s, what):
+    """A bench_report.h Summary object: complete and ordered."""
+    if not isinstance(s, dict) or not SUMMARY_KEYS <= s.keys():
+        fail(path, f"row {name!r} {what} summary incomplete")
+    if not s["p50"] <= s["p90"] <= s["p99"]:
+        fail(path, f"row {name!r} {what} percentiles not monotone")
+    if not s["min"] <= s["median"] <= s["max"]:
+        fail(path, f"row {name!r} {what} median outside [min, max]")
+
+
 def check_bench(path, doc, require_met=frozenset()):
     if not isinstance(doc.get("rows"), list) or not doc["rows"]:
         fail(path, "no rows")
@@ -229,13 +245,7 @@ def check_bench(path, doc, require_met=frozenset()):
         for k in ("name", "label", "iters", "ns", "report"):
             if k not in row:
                 fail(path, f"row {row.get('name', '?')!r} missing {k!r}")
-        ns = row["ns"]
-        if not SUMMARY_KEYS <= ns.keys():
-            fail(path, f"row {row['name']!r} summary incomplete")
-        if not ns["p50"] <= ns["p90"] <= ns["p99"]:
-            fail(path, f"row {row['name']!r} percentiles not monotone")
-        if not ns["min"] <= ns["median"] <= ns["max"]:
-            fail(path, f"row {row['name']!r} median outside [min, max]")
+        check_summary(path, row["name"], row["ns"], "ns")
         if row["report"] is not None:
             check_report(f"{path}:{row['name']}", row["report"])
         if "streaming" in row:
